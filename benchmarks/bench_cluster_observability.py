@@ -10,9 +10,16 @@ path:
   small multiple of the same workload with ``shards=1``.
 * **traced overhead** — the fully instrumented run (metrics registry +
   tracer + flight recorder, the ``repro dossier`` configuration) must
-  stay within 1.5× of the bare run on the same seeds.  Span emission on
-  every shipped batch, applied batch and 2PC phase is O(1) dict
-  appends; the flight recorder's rings are bounded deques.
+  stay within 1.5× of the bare run on the same seeds.  The run is sized
+  (70 transactions per client, a bare run of roughly 150 ms or more) so
+  that the 1.5× ratio decides the verdict, not the +50 ms timer-noise
+  floor.  This gate does not hold yet: the fully instrumented run
+  measures about 1.9× the bare run (see ``docs/observability.md``,
+  "Cost of the sinks"), so it fails until the per-record cost of the
+  sinks drops further.
+
+``test_observability_table`` writes both timings and their ratio to
+``benchmarks/results/cluster_observability.txt``.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from repro.service import (
 _REPLICATED = StressConfig(
     scheduler="locking",
     clients=4,
-    txns_per_client=15,
+    txns_per_client=70,
     keys=8,
     ops_per_txn=2,
     seed=17,
@@ -92,18 +99,22 @@ def test_traced_cluster_overhead_bounded():
 
 
 def test_observability_table(record_table):
-    rows = [f"{'mode':>22} {'ms':>8} {'spans':>7} {'dossiers':>8}"]
+    rows = [f"{'mode':>22} {'ms':>8} {'ratio':>6} {'spans':>7} {'dossiers':>8}"]
     bare = _best_of(_REPLICATED)
-    rows.append(f"{'bare':>22} {bare * 1000:8.1f} {0:7d} {0:8d}")
+    rows.append(f"{'bare':>22} {bare * 1000:8.1f} {1:6.2f} {0:7d} {0:8d}")
+    traced = _best_of(
+        _REPLICATED,
+        metrics=MetricsRegistry,
+        tracer=Tracer,
+        flight=FlightRecorder,
+    )
     tracer, flight = Tracer(), FlightRecorder()
-    start = time.perf_counter()
     result = run_stress(
         _REPLICATED, metrics=MetricsRegistry(), tracer=tracer, flight=flight
     )
-    traced = time.perf_counter() - start
     spans = sum(1 for r in tracer.records if r["kind"] == "span")
     rows.append(
         f"{'metrics+trace+flight':>22} {traced * 1000:8.1f} "
-        f"{spans:7d} {len(result.dossiers()):8d}"
+        f"{traced / bare:6.2f} {spans:7d} {len(result.dossiers()):8d}"
     )
     record_table("cluster_observability", "\n".join(rows))

@@ -220,11 +220,13 @@ class FlightRecorder:
         every record after the ring observes it."""
         self._tracer = tracer
         prev = tracer._sink
+        if prev is None:
+            tracer._sink = self._observe
+            return self
 
         def sink(record: Dict[str, Any], _prev=prev) -> None:
             self._observe(record)
-            if _prev is not None:
-                _prev(record)
+            _prev(record)
 
         tracer._sink = sink
         return self
@@ -267,30 +269,26 @@ class FlightRecorder:
         self._endpoint_lane = lanes
         self._lanes_version = cluster.shard_map.version
 
-    def _lane_of(self, record: Dict[str, Any]) -> str:
-        attrs = record.get("attrs") or {}
+    def _lane_of(self, attrs: Dict[str, Any]) -> str:
         shard = attrs.get("shard")
         if isinstance(shard, int):
             return f"shard{shard}"
-        for key in ("dst", "src"):
-            endpoint = attrs.get(key)
-            if endpoint in self._endpoint_lane:
-                return self._endpoint_lane[endpoint]
+        lanes = self._endpoint_lane
+        lane = lanes.get(attrs.get("dst")) or lanes.get(attrs.get("src"))
         if (
-            self._cluster is not None
+            lane is None
+            and self._cluster is not None
             and self._lanes_version != self._cluster.shard_map.version
         ):
             # Reconfiguration renamed an endpoint: rebuild once per map
             # version and retry the endpoint match.
             self._refresh_lanes()
-            for key in ("dst", "src"):
-                endpoint = attrs.get(key)
-                if endpoint in self._endpoint_lane:
-                    return self._endpoint_lane[endpoint]
-        return "cluster"
+            lanes = self._endpoint_lane
+            lane = lanes.get(attrs.get("dst")) or lanes.get(attrs.get("src"))
+        return lane or "cluster"
 
     def _observe(self, record: Dict[str, Any]) -> None:
-        lane = self._lane_of(record)
+        lane = self._lane_of(record.get("attrs") or {})
         ring = self._rings.get(lane)
         if ring is None:
             ring = self._rings[lane] = deque(maxlen=self.capacity)

@@ -8,7 +8,8 @@ deliberately tiny and allocation-light:
 
 * instruments are registered once by name (re-registration returns the
   existing instrument, so call sites never coordinate);
-* one instrument holds one time series per distinct label combination;
+* one instrument holds one time series per distinct label combination,
+  and memoises the series key of each label combination it has seen;
 * hot paths bind a labelled series once (``counter.labels(...)``) and then
   pay a dict lookup plus an integer add per observation;
 * **disabled is free**: components default to ``metrics=None`` and guard
@@ -51,6 +52,14 @@ def _label_key(labels: Dict[str, Any]) -> LabelKey:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
+#: Label value types whose keys are memoised: two equal values of the same
+#: exact type among these always render the same.  The memo is keyed by
+#: each value's exact type too, because equal values of different types
+#: can render differently (``1``, ``True`` and ``1.0``; a ``str``-mixin
+#: enum member and its value).  ``float`` is left out: ``0.0 == -0.0``.
+_MEMO_TYPES = frozenset((str, int, bool))
+
+
 class _Instrument:
     """Shared name/help/series bookkeeping."""
 
@@ -60,6 +69,21 @@ class _Instrument:
         self.name = name
         self.help = help
         self._series: Dict[LabelKey, Any] = {}
+        #: Raw label items, then their values' exact types -> label key.
+        self._keys: Dict[Tuple[Any, ...], LabelKey] = {}
+
+    def _key(self, labels: Dict[str, Any]) -> LabelKey:
+        """``_label_key(labels)``, memoised by the raw label items."""
+        typed = (*labels.items(), *map(type, labels.values()))
+        try:
+            key = self._keys.get(typed)
+        except TypeError:  # an unhashable label value
+            return _label_key(labels)
+        if key is None:
+            key = _label_key(labels)
+            if _MEMO_TYPES.issuperset(map(type, labels.values())):
+                self._keys[typed] = key
+        return key
 
     def series(self) -> Dict[LabelKey, Any]:
         """``label-key -> value`` for every series observed so far."""
@@ -72,16 +96,16 @@ class Counter(_Instrument):
     kind = "counter"
 
     def inc(self, amount: int = 1, **labels: Any) -> None:
-        key = _label_key(labels)
+        key = self._key(labels)
         self._series[key] = self._series.get(key, 0) + amount
 
     def labels(self, **labels: Any) -> "_BoundCounter":
         """Pre-resolve a label combination for hot loops."""
-        return _BoundCounter(self, _label_key(labels))
+        return _BoundCounter(self, self._key(labels))
 
     def value(self, **labels: Any) -> int:
         """The count for one label combination (0 if never incremented)."""
-        return self._series.get(_label_key(labels), 0)
+        return self._series.get(self._key(labels), 0)
 
     @property
     def total(self) -> int:
@@ -109,17 +133,17 @@ class Gauge(_Instrument):
     kind = "gauge"
 
     def set(self, value: float, **labels: Any) -> None:
-        self._series[_label_key(labels)] = value
+        self._series[self._key(labels)] = value
 
     def inc(self, amount: float = 1, **labels: Any) -> None:
-        key = _label_key(labels)
+        key = self._key(labels)
         self._series[key] = self._series.get(key, 0) + amount
 
     def dec(self, amount: float = 1, **labels: Any) -> None:
         self.inc(-amount, **labels)
 
     def value(self, **labels: Any) -> float:
-        return self._series.get(_label_key(labels), 0)
+        return self._series.get(self._key(labels), 0)
 
 
 class _HistogramSeries:
@@ -150,7 +174,7 @@ class Histogram(_Instrument):
         self.buckets: Tuple[float, ...] = tuple(sorted(buckets))
 
     def observe(self, value: float, **labels: Any) -> None:
-        key = _label_key(labels)
+        key = self._key(labels)
         series = self._series.get(key)
         if series is None:
             series = self._series[key] = _HistogramSeries(len(self.buckets))
@@ -167,15 +191,15 @@ class Histogram(_Instrument):
         series.bucket_counts[-1] += 1
 
     def count(self, **labels: Any) -> int:
-        series = self._series.get(_label_key(labels))
+        series = self._series.get(self._key(labels))
         return series.count if series else 0
 
     def sum_of(self, **labels: Any) -> float:
-        series = self._series.get(_label_key(labels))
+        series = self._series.get(self._key(labels))
         return series.sum if series else 0.0
 
     def mean(self, **labels: Any) -> Optional[float]:
-        series = self._series.get(_label_key(labels))
+        series = self._series.get(self._key(labels))
         if not series or not series.count:
             return None
         return series.sum / series.count
@@ -193,7 +217,7 @@ class Histogram(_Instrument):
         """
         if not (0 <= q <= 100):
             raise ValueError("q must be in [0, 100]")
-        series = self._series.get(_label_key(labels))
+        series = self._series.get(self._key(labels))
         if series is None or not series.count:
             return None
         rank = max(1, -(-series.count * q // 100))  # ceil(count*q/100)
@@ -233,6 +257,8 @@ class MetricsRegistry:
 
     def _register(self, cls, name: str, help: str, **kwargs) -> Any:
         instrument = self._instruments.get(name)
+        if instrument.__class__ is cls:
+            return instrument
         if instrument is None:
             instrument = self._instruments[name] = cls(name, help, **kwargs)
         elif not isinstance(instrument, cls):

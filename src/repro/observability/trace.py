@@ -27,7 +27,10 @@ accumulate in memory (:attr:`Tracer.records`).
 
 Attribute values are sanitised to JSON-compatible types on emission
 (:class:`~repro.core.objects.Version`, edges, predicates and events render
-through ``str``), so a trace is always serialisable.
+through ``str``), so a trace is always serialisable.  Plain ``None``/
+``bool``/``int``/``float``/``str`` values pass through as they are; only
+containers and other objects are converted, so per-message code should
+pass scalar attributes.
 """
 
 from __future__ import annotations
@@ -58,6 +61,21 @@ def _jsonable(value: Any) -> Any:
             items = sorted(items, key=str)
         return [_jsonable(v) for v in items]
     return str(value)
+
+
+#: Attribute value types :func:`_sanitise` passes through untouched (exact
+#: types: subclasses such as ``IntEnum`` take the recursive path).
+_SCALARS = frozenset((type(None), bool, int, float, str))
+
+
+def _sanitise(attrs: Dict[str, Any]) -> Dict[str, Any]:
+    """A record's attrs in one pass: a fresh dict equal to
+    ``_jsonable(attrs)``, calling :func:`_jsonable` only for values that
+    are not plain scalars."""
+    return {
+        str(k): v if v.__class__ in _SCALARS else _jsonable(v)
+        for k, v in attrs.items()
+    }
 
 
 class Span:
@@ -147,29 +165,27 @@ class Tracer:
         self._epoch = epoch
         return self
 
-    def _emit(self, record: Dict[str, Any]) -> None:
+    def _close_span(self, span: Span) -> None:
+        stack = self._stack
+        if stack and stack[-1] == span.id:
+            stack.pop()
+        elif span.id in stack:  # out-of-order close (interleaved spans)
+            stack.remove(span.id)
+        attrs = _sanitise(span.attrs)
         self._seq += 1
-        record["seq"] = self._seq
+        record = {
+            "kind": "span",
+            "id": span.id,
+            "parent": span.parent,
+            "name": span.name,
+            "start": span.start,
+            "end": self._clock() - self._epoch,
+            "attrs": attrs,
+            "seq": self._seq,
+        }
         self.records.append(record)
         if self._sink is not None:
             self._sink(record)
-
-    def _close_span(self, span: Span) -> None:
-        if self._stack and self._stack[-1] == span.id:
-            self._stack.pop()
-        elif span.id in self._stack:  # out-of-order close (interleaved spans)
-            self._stack.remove(span.id)
-        self._emit(
-            {
-                "kind": "span",
-                "id": span.id,
-                "parent": span.parent,
-                "name": span.name,
-                "start": span.start,
-                "end": self._now(),
-                "attrs": _jsonable(span.attrs),
-            }
-        )
 
     # -- public API ------------------------------------------------------
 
@@ -192,7 +208,7 @@ class Tracer:
             parent_id = self._stack[-1] if self._stack else None
         else:
             parent_id = parent.id if isinstance(parent, Span) else parent
-        span = Span(self, span_id, parent_id, name, dict(attrs))
+        span = Span(self, span_id, parent_id, name, attrs)
         if stack:
             self._stack.append(span_id)
         return span
@@ -212,15 +228,20 @@ class Tracer:
             parent_id = span.id if isinstance(span, Span) else span
         span_id = self._next_id
         self._next_id += 1
+        attrs = _sanitise(attrs)
+        self._seq += 1
         record = {
             "kind": "event",
             "id": span_id,
             "span": parent_id,
             "name": name,
-            "time": self._now(),
-            "attrs": _jsonable(attrs),
+            "time": self._clock() - self._epoch,
+            "attrs": attrs,
+            "seq": self._seq,
         }
-        self._emit(record)
+        self.records.append(record)
+        if self._sink is not None:
+            self._sink(record)
         return record
 
     def events(self, name: Optional[str] = None) -> List[Dict[str, Any]]:

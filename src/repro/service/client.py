@@ -220,6 +220,8 @@ class Client:
         self.server = server
         self.policy = policy or RetryPolicy()
         self.metrics = metrics
+        #: This session's series of each client counter, bound once.
+        self._session_counters: Dict[str, Any] = {}
         #: Trace-context origin: with a tracer attached, every transaction
         #: gets a fresh ``trace_id`` and a ``client.txn`` root span; every
         #: logical operation gets a ``client.request`` child span whose
@@ -255,7 +257,12 @@ class Client:
 
     def _count(self, name: str, help: str) -> None:
         if self.metrics is not None:
-            self.metrics.counter(name, help).inc(session=self.name)
+            counter = self._session_counters.get(name)
+            if counter is None:
+                counter = self._session_counters[name] = self.metrics.counter(
+                    name, help
+                ).labels(session=self.name)
+            counter.inc()
 
     def _on_abort_reply(self) -> None:
         self.tid = None

@@ -77,6 +77,8 @@ class SimulatedNetwork:
         }
         self.metrics = metrics
         self.tracer = tracer
+        #: ``service_messages_total`` series bound once per fate.
+        self._fate_counters: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------
     # membership
@@ -146,9 +148,12 @@ class SimulatedNetwork:
     def _count(self, kind: str, amount: int = 1) -> None:
         self.counters[kind] += amount
         if self.metrics is not None:
-            self.metrics.counter(
-                "service_messages_total", "service network messages by fate"
-            ).inc(amount, kind=kind)
+            counter = self._fate_counters.get(kind)
+            if counter is None:
+                counter = self._fate_counters[kind] = self.metrics.counter(
+                    "service_messages_total", "service network messages by fate"
+                ).labels(kind=kind)
+            counter.inc(amount)
 
     def _msg_span(
         self, src: str, dst: str, payload: Dict[str, Any], duplicate: bool

@@ -22,6 +22,7 @@ The contracts this suite pins:
   Cluster section) is a pure function of the records.
 """
 
+import hashlib
 import io
 import json
 
@@ -112,6 +113,82 @@ class TestInstrumentationIsFree:
     def test_flight_requires_tracer(self):
         with pytest.raises(ValueError, match="requires tracer"):
             run_stress(anomaly_config(), flight=FlightRecorder())
+
+
+def cluster_observed_config(seed):
+    """The benchmark's ``cluster_observed`` shape: 2 shards x 2 replicas
+    under drops, duplicates and replica lag, half the transactions
+    read-only at the replicas."""
+    return StressConfig(
+        scheduler="locking", level="PL-2", clients=4, txns_per_client=50,
+        keys=64, ops_per_txn=4, seed=seed,
+        network=NetworkConfig(
+            drop=0.05, duplicate=0.05, min_delay=1, max_delay=3
+        ),
+        cluster=ClusterConfig(
+            shards=2, replicas=2, replication_every=12,
+            replication_lag=(4, 10),
+        ),
+        read_preference="replica", read_only_fraction=0.5,
+    )
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+#: seed -> sha256 of (trace JSONL, Prometheus exposition, dossiers) for
+#: ``cluster_observed_config(seed)``.  The trace digest covers
+#: ``json.dumps(record, sort_keys=True)`` per record, one per line; the
+#: dossier digest ``dossier_json`` per dossier, one per line.  A change to
+#: how the sinks do their work must leave every digest as it is.
+GOLDEN_DIGESTS = {
+    2: (
+        "0c024db436b197ae8f542eba644a586a8c122da485b33eefd0efc5b27f0d6190",
+        "14becd58372dc6bcf91b85570aec7d43f8afa35f9576fe41bd1f6b72aba62c3e",
+        "3f8c06b80a12237195e55c5b65031f7ff0bea2bb26a98d035c7b087a2c21b577",
+    ),
+    3: (
+        "8536872dc47f572d8065a1c2074cb615a82507e24082df3314ede0f16d16c3a9",
+        "60770d33311b97a53fe58d8f7bc095098b2a2d781d063412d71f1f9cc689267d",
+        "b4361c09a5af6b2b6ae5e040f773b4d6213692dda3a959a10aea2b22700153c9",
+    ),
+    4: (
+        "3473db5cc5c305e63d7a563bc90fd88d26bacc1f0e3a038d7b97feae6bb8585c",
+        "47511fc9907fa62c91d2368f85f02213d09dc6e8b7d33bd8b2c7013261e44303",
+        "fa4138a11a988ecac1ab46294c178f7a629029dbd014f13870c16711dec84b31",
+    ),
+    5: (
+        "f96c96206da34a481bfc790039b9bc9551ca763cb4aa0252fa63e78186949b8e",
+        "cc4bf45904deb2adf170548c56d5cd4734fd367804262ea8c096c6cf03eeebff",
+        "aa90a019e21a57efd7d9d0132349b8cfc442060440ac46169607181221633864",
+    ),
+}
+
+
+class TestGoldenDigests:
+    """Every observability artifact of the ``cluster_observed`` shape is
+    pinned byte-for-byte per seed: making the sinks cheaper may not move
+    a single byte of the trace, the metrics or the dossiers."""
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_DIGESTS))
+    def test_artifacts_match_golden_digests(self, seed):
+        metrics, tracer, flight = MetricsRegistry(), Tracer(), FlightRecorder()
+        run_stress(
+            cluster_observed_config(seed),
+            metrics=metrics, tracer=tracer, flight=flight,
+        )
+        dossiers = flight.dossiers()
+        assert dossiers  # the pin covers real dossiers, not an empty list
+        digests = (
+            _sha256("".join(
+                json.dumps(record, sort_keys=True) + "\n"
+                for record in tracer.records
+            )),
+            _sha256(metrics.render_prometheus()),
+            _sha256("".join(dossier_json(d) + "\n" for d in dossiers)),
+        )
+        assert digests == GOLDEN_DIGESTS[seed]
 
 
 class TestShardScopedTelemetry:

@@ -1,9 +1,15 @@
-"""Histogram percentile estimation and the metrics export formats
-(render_text quantiles, Prometheus exposition)."""
+"""Histogram percentile estimation, the metrics export formats
+(render_text quantiles, Prometheus exposition) and the memoised label
+keys behind every instrument."""
+
+from contextlib import contextmanager
+from enum import Enum, IntEnum
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.observability import Histogram, MetricsRegistry
+from repro.observability import metrics as metrics_module
 
 
 class TestHistogramPercentile:
@@ -136,3 +142,153 @@ class TestRenderPrometheus:
         reg = MetricsRegistry()
         reg.counter("silent_total", "never fired")
         assert reg.render_prometheus() == ""
+
+
+class _Level(IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class _Colour(str, Enum):
+    RED = "red"
+
+
+@contextmanager
+def _uncached_label_keys():
+    """Every instrument computes its label key with the plain
+    ``_label_key``, bypassing the memo: the oracle registry's path."""
+    memoised = metrics_module._Instrument._key
+    metrics_module._Instrument._key = (
+        lambda self, labels: metrics_module._label_key(labels)
+    )
+    try:
+        yield
+    finally:
+        metrics_module._Instrument._key = memoised
+
+
+#: Label values whose equal members render differently (``1``/``True``/
+#: ``1.0``, ``0.0``/``-0.0``, ``"red"``/``_Colour.RED``), plus unhashable
+#: lists that must take the fallback.
+_label_values = st.one_of(
+    st.sampled_from(
+        ["red", "1", 1, 0, True, False, 1.0, 0.0, -0.0, _Level.LOW,
+         _Colour.RED, None]
+    ),
+    st.text(max_size=2),
+    st.lists(st.integers(0, 2), max_size=2),
+)
+_labels = st.dictionaries(st.sampled_from(["a", "b"]), _label_values, max_size=2)
+_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["inc", "bound", "set", "gauge_inc", "observe"]),
+        st.integers(0, 30),
+        _labels,
+    ),
+    max_size=25,
+)
+
+
+def _fill(ops):
+    reg = MetricsRegistry()
+    for op, amount, labels in ops:
+        if op == "inc":
+            reg.counter("c_total", "counts").inc(amount, **labels)
+        elif op == "bound":
+            reg.counter("c_total", "counts").labels(**labels).inc(amount)
+        elif op == "set":
+            reg.gauge("g", "level").set(amount, **labels)
+        elif op == "gauge_inc":
+            reg.gauge("g", "level").inc(amount, **labels)
+        else:
+            reg.histogram("h", "spread", buckets=(1, 5, 10)).observe(
+                amount, **labels
+            )
+    return reg
+
+
+class TestLabelKeyMemo:
+    def test_kwarg_order_does_not_split_a_series(self):
+        reg = MetricsRegistry()
+        counter = reg.counter("c_total")
+        counter.inc(a="x", b=1)
+        counter.inc(b=1, a="x")
+        counter.labels(b=1, a="x").inc()
+        assert counter.value(a="x", b=1) == 3
+        assert counter.value(b=1, a="x") == 3
+        assert len(counter.series()) == 1
+
+    def test_equal_values_of_other_types_stay_apart(self):
+        reg = MetricsRegistry()
+        counter = reg.counter("c_total")
+        for value in (1, True, 1.0, "1"):
+            counter.inc(v=value)
+        assert counter.value(v=1) == 2  # 1 and "1" both render "1"
+        assert counter.value(v=True) == 1
+        assert counter.value(v=1.0) == 1
+        assert len(counter.series()) == 3
+        for value in (1, True, 1.0, "1", _Level.LOW, _Colour.RED):
+            assert counter._key({"v": value}) == (("v", str(value)),)
+        gauge = reg.gauge("g")
+        gauge.set(1, z=0.0)
+        gauge.set(2, z=-0.0)
+        assert gauge.value(z=0.0) == 1 and gauge.value(z=-0.0) == 2
+        counter.inc(colour="red")
+        counter.inc(colour=_Colour.RED)
+        assert counter.value(colour="red") == 1
+
+    def test_unhashable_label_values_use_the_fallback(self):
+        reg = MetricsRegistry()
+        counter = reg.counter("c_total")
+        counter.inc(tags=["a", "b"])
+        counter.inc(2, tags=["a", "b"])
+        counter.labels(tags={"k": 1}).inc()
+        assert counter.value(tags=["a", "b"]) == 3
+        assert counter.value(tags={"k": 1}) == 1
+        assert "  {tags=['a', 'b']}: 3" in reg.render_text()
+
+    def test_reregistering_as_another_kind_raises(self):
+        reg = MetricsRegistry()
+        counter = reg.counter("m", "help")
+        assert reg.counter("m") is counter
+        with pytest.raises(ValueError, match="already registered as counter"):
+            reg.gauge("m")
+        with pytest.raises(ValueError, match="already registered as counter"):
+            reg.histogram("m")
+        reg.histogram("h")
+        with pytest.raises(ValueError, match="already registered as histogram"):
+            reg.counter("h")
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=_ops, probes=st.lists(_labels, max_size=5))
+    @example(
+        ops=[
+            ("inc", 1, {"a": 1}), ("inc", 1, {"a": True}),
+            ("inc", 1, {"a": 1.0}), ("set", 2, {"a": 0.0}),
+            ("set", 3, {"a": -0.0}), ("inc", 1, {"b": "red"}),
+            ("bound", 1, {"b": _Colour.RED}), ("observe", 4, {"a": [1]}),
+            ("bound", 2, {"b": 1, "a": "x"}), ("inc", 1, {"a": "x", "b": 1}),
+        ],
+        probes=[{"a": True}, {"b": _Colour.RED}, {"a": _Level.LOW}],
+    )
+    def test_memoised_registry_matches_uncached_oracle(self, ops, probes):
+        with _uncached_label_keys():
+            oracle = _fill(ops)
+        reg = _fill(ops)
+        assert reg.render_text() == oracle.render_text()
+        assert reg.render_prometheus() == oracle.render_prometheus()
+        assert reg.snapshot() == oracle.snapshot()
+        for labels in probes + [labels for _, _, labels in ops]:
+            with _uncached_label_keys():
+                expected = (
+                    oracle.counter("c_total").value(**labels),
+                    oracle.gauge("g").value(**labels),
+                    oracle.histogram("h").count(**labels),
+                    oracle.counter("c_total").labels(**labels)._key,
+                )
+            assert (
+                reg.counter("c_total").value(**labels),
+                reg.gauge("g").value(**labels),
+                reg.histogram("h").count(**labels),
+                reg.counter("c_total").labels(**labels)._key,
+            ) == expected

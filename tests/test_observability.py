@@ -2,11 +2,15 @@
 engine/checker instrumentation built on them."""
 
 import json
+import math
+from enum import IntEnum
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.core.incremental import IncrementalAnalysis
+from repro.core.objects import Version
 from repro.core.phenomena import Phenomenon
 from repro.engine.database import Database
 from repro.engine.locking import LockingScheduler
@@ -186,6 +190,132 @@ class TestTracer:
         span.end()
         span.end()
         assert len(tr.spans("s")) == 1
+
+
+def _oracle_jsonable(value):
+    """The tracer's original attribute sanitiser, kept verbatim as the
+    oracle: recurse into every value, scalars included."""
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, dict):
+        return {str(k): _oracle_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, set, frozenset)):
+        items = list(value)
+        if isinstance(value, (set, frozenset)):
+            items = sorted(items, key=str)
+        return [_oracle_jsonable(v) for v in items]
+    return str(value)
+
+
+class _Level(IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class _Metres(float):
+    pass
+
+
+def _same(a, b):
+    """Equal *and* of the same exact types all the way down (``==`` alone
+    would let ``True`` stand for ``1`` or an ``IntEnum`` for its value),
+    with NaNs compared by representation."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, float) and math.isnan(a):
+        return math.isnan(b)
+    return a == b
+
+
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=4),
+    st.sampled_from(list(_Level)),
+    st.floats(allow_nan=False).map(_Metres),
+    st.builds(
+        Version,
+        st.sampled_from(["x", "y", "emp:3"]),
+        st.integers(1, 9),
+        st.integers(1, 3),
+    ),
+)
+_hashables = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=2),
+    st.sampled_from(list(_Level)),
+)
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.tuples(inner, inner),
+        st.sets(_hashables, max_size=4),
+        st.frozensets(_hashables, max_size=4),
+        st.dictionaries(_hashables, inner, max_size=3),
+    ),
+    max_leaves=8,
+)
+_attrs = st.dictionaries(st.text(max_size=3), _values, max_size=5)
+
+
+class TestSanitiserOracle:
+    """Span and event attrs are sanitised exactly as the recursive
+    ``_jsonable`` oracle would, scalar fast path or not."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(attrs=_attrs)
+    def test_event_attrs_match_oracle(self, attrs):
+        tr = Tracer()
+        record = tr.event("e", **attrs)
+        assert _same(record["attrs"], _oracle_jsonable(attrs))
+        json.dumps(record, sort_keys=True)
+
+    @settings(max_examples=150, deadline=None)
+    @given(attrs=_attrs, late=_attrs)
+    def test_span_attrs_match_oracle(self, attrs, late):
+        tr = Tracer()
+        span = tr.span("s", **attrs)
+        span.end(**late)
+        expected = _oracle_jsonable({**attrs, **late})
+        assert _same(tr.spans("s")[0]["attrs"], expected)
+
+    def test_scalar_subclasses_keep_their_type(self):
+        tr = Tracer()
+        record = tr.event(
+            "e", level=_Level.HIGH, d=_Metres(1.5), flag=True, v=None
+        )
+        attrs = record["attrs"]
+        assert type(attrs["level"]) is _Level
+        assert type(attrs["d"]) is _Metres
+        assert attrs["flag"] is True and attrs["v"] is None
+
+    def test_set_after_end_leaves_the_record_alone(self):
+        tr = Tracer()
+        tids = [1, 2]
+        span = tr.span("s", a=1, tids=tids)
+        span.end(b=2)
+        before = json.dumps(tr.records, sort_keys=True)
+        span.set(a=99, c=3)
+        span.attrs["late"] = True
+        tids.append(3)
+        span.end(d=4)  # already closed: no second record
+        assert json.dumps(tr.records, sort_keys=True) == before
+        assert tr.spans("s")[0]["attrs"] == {"a": 1, "tids": [1, 2], "b": 2}
+
+    def test_caller_attrs_dict_is_not_aliased(self):
+        tr = Tracer()
+        attrs = {"a": 1}
+        span = tr.span("s", **attrs)
+        span.set(b=2)
+        span.end()
+        assert attrs == {"a": 1}
+        assert tr.spans("s")[0]["attrs"] is not span.attrs
 
 
 class TestJsonlRoundTrip:
