@@ -68,15 +68,19 @@ SERVICE_SPANS = ("stress.run", "client.txn", "client.request", "net.msg", "serve
 # ---------------------------------------------------------------------------
 
 
+def nearest_rank(ordered: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile of a pre-sorted non-empty sequence; ``q`` is
+    clamped to [0, 100] (``q <= 0`` gives the minimum, ``q >= 100`` the
+    maximum)."""
+    rank = max(1, -(-len(ordered) * q // 100))  # ceil(n*q/100)
+    return ordered[min(int(rank), len(ordered)) - 1]
+
+
 def percentile(values: Sequence[float], q: float) -> float:
     """Nearest-rank percentile (``q`` in [0, 100]) of a non-empty sequence."""
     if not values:
         raise ValueError("percentile of empty sequence")
-    ordered = sorted(values)
-    if q <= 0:
-        return ordered[0]
-    rank = max(1, -(-len(ordered) * q // 100))  # ceil(n*q/100)
-    return ordered[min(int(rank), len(ordered)) - 1]
+    return nearest_rank(sorted(values), q)
 
 
 def verb_latencies(

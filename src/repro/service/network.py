@@ -280,26 +280,14 @@ class SimulatedNetwork:
             self._inboxes.setdefault(dst, []).append((src, payload))
         return True
 
-    @property
-    def has_due(self) -> bool:
-        """Whether a queued message is due at or before the current tick
-        (the unpipelined driver uses this to finish a delivery batch)."""
-        return bool(self._queue) and self._queue[0][0] <= self.now
-
     def drain_due(self) -> int:
-        """Pipelined delivery: pop the next queued message (advancing the
-        clock to its tick) and then every further message due by the new
-        ``now`` — including zero-delay replies scheduled during the sweep —
-        in one call.  Returns the number of messages processed (0 with an
-        idle queue).
-
-        The sweep processes exactly the messages that repeated
-        :meth:`step` calls (continued while :attr:`has_due`) would, in the
-        same heap order, drawing from the fault RNG in the same sequence —
-        so pipelined and unpipelined drivers replay identical schedules.
-        The win is batching: one network call delivers the whole tick's
-        backlog to the server instead of bouncing through the driver loop
-        once per message.
+        """Batch delivery: :meth:`step` the next queued message (advancing
+        the clock to its tick) and then every further message due by the
+        new ``now`` — including zero-delay replies scheduled during the
+        sweep — in heap order, in one call.  Returns the number of messages
+        processed (0 with an idle queue).  The stress driver calls this
+        once per blocked turn, so the whole tick's backlog reaches the
+        server before any client runs again.
         """
         if not self._queue:
             return 0
@@ -319,13 +307,6 @@ class SimulatedNetwork:
     def advance(self, ticks: int = 1) -> None:
         """Let idle time pass (client backoffs with an empty queue)."""
         self.now += ticks
-        self._sync_clock()
-
-    def advance_past(self, t: int) -> None:
-        """Jump the clock just past ``t``, delivering anything due."""
-        while self._queue and self._queue[0][0] <= t:
-            self.step()
-        self.now = max(self.now, t + 1)
         self._sync_clock()
 
     def run_until(

@@ -1,7 +1,7 @@
 """The public API surface stays coherent: every top-level export is real,
-documented in docs/API.md, and listed in ``__all__`` exactly once; the
-legacy ``run_stress`` keyword interface survives as a deprecation shim
-over :class:`StressConfig`."""
+documented in docs/API.md, and listed in ``__all__`` exactly once;
+``run_stress`` takes a :class:`StressConfig` and rejects loose keyword
+arguments."""
 
 from pathlib import Path
 
@@ -57,40 +57,27 @@ class TestServiceSurface:
 
 
 class TestLegacyKwargsShim:
-    def _reset_warn_once(self):
-        import repro.service.stress as stress_mod
+    """The loose-keyword shim is retired: ``run_stress`` takes one
+    ``StressConfig`` (plus the live sinks) and nothing else."""
 
-        stress_mod._LEGACY_KWARGS_WARNED = False
+    def test_bare_kwargs_rejected(self):
+        with pytest.raises(TypeError):
+            repro.run_stress(clients=2)
 
-    def test_legacy_kwargs_warn_and_still_work(self):
-        self._reset_warn_once()
-        with pytest.warns(DeprecationWarning, match="StressConfig"):
-            legacy = repro.run_stress(clients=2, txns_per_client=4, seed=5)
-        modern = repro.run_stress(
-            repro.StressConfig(clients=2, txns_per_client=4, seed=5)
-        )
-        assert legacy.history_text == modern.history_text
-        assert legacy.journals == modern.journals
-
-    def test_warning_fires_once(self):
+    def test_config_path_emits_no_deprecation(self):
         import warnings
 
-        self._reset_warn_once()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            repro.run_stress(clients=1, txns_per_client=2)
-            repro.run_stress(clients=1, txns_per_client=2)
-        deprecations = [
+            repro.run_stress(repro.StressConfig(clients=1, txns_per_client=2))
+        assert not [
             w for w in caught if issubclass(w.category, DeprecationWarning)
         ]
-        assert len(deprecations) == 1
 
     def test_config_plus_kwargs_rejected(self):
-        with pytest.raises(TypeError, match="both"):
+        with pytest.raises(TypeError):
             repro.run_stress(repro.StressConfig(), clients=2)
 
     def test_unknown_kwarg_rejected(self):
-        self._reset_warn_once()
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError):
-                repro.run_stress(not_a_knob=1)
+        with pytest.raises(TypeError):
+            repro.run_stress(not_a_knob=1)

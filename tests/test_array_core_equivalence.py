@@ -1,27 +1,36 @@
-"""Equivalence of the array-backed hot path with the legacy object path.
+"""The array-backed hot path against definitional oracles.
 
 The array core (interned ids, flat event logs, batched incremental
-ingestion) is a pure performance refactor: no verdict, witness, index or
-ordering is allowed to change.  These properties pin that down three ways:
+ingestion) is a pure performance design: no verdict, witness, index or
+ordering may differ from what the paper's definitions give.  These
+properties pin that down three ways:
 
-* ``History(array_core=True)`` builds exactly the same indexes and version
-  orders as ``History(array_core=False)`` (the legacy isinstance-scan
-  path kept for this suite);
-* full ``check`` reports over both paths agree on every phenomenon,
-  per-level verdict and witness set;
+* ``History`` builds exactly the indexes and version orders of
+  :class:`ObjectPathHistory`, a reference kept in this module that derives
+  each one by plain ``isinstance`` scans over the event objects;
+* full ``check`` reports agree whether the version order is inferred by
+  ``History`` or supplied from that reference: every phenomenon,
+  per-level verdict and the strongest level;
 * the incremental analysis's batch path (``add_all``) replays exactly like
-  the one-event-at-a-time path: same edges, same phenomena, same witness
-  cycles — including histories with predicate reads and aborted
-  transactions.
+  the one-event-at-a-time path, and the incremental core agrees with the
+  batch checker: same edges, same phenomena, same witness cycles —
+  including histories with predicate reads and aborted transactions.
 """
 
+from typing import Dict, List, Optional, Tuple
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.checker import check
+from repro.core.canonical import ALL_CANONICAL
+from repro.core.events import Abort, Begin, Commit, PredicateRead, Read, Write
 from repro.core.history import History
 from repro.core.incremental import IncrementalAnalysis
 from repro.core.levels import ANSI_CHAIN
+from repro.core.objects import Version, relation_of
 from repro.core.phenomena import Phenomenon
+from repro.exceptions import VersionOrderError
 from repro.observability.provenance import witness_cycle
 from repro.workloads.generator import synthetic_history
 
@@ -42,15 +51,141 @@ history_params = st.fixed_dictionaries(
 )
 
 
-def both_paths(params):
+class ObjectPathHistory:
+    """Reference indexes of a history, computed straight from the event
+    objects with ``isinstance`` scans (no interning, no kind codes).
+    ``_build_order`` is the object-path version-order builder ``History``
+    used before its indexes moved onto the flat event log."""
+
+    def __init__(self, events, supplied=None):
+        self.events = tuple(events)
+        self.tids = tuple(dict.fromkeys(ev.tid for ev in self.events))
+        self.committed = frozenset(
+            ev.tid for ev in self.events if isinstance(ev, Commit)
+        )
+        self.aborted = frozenset(
+            ev.tid for ev in self.events if isinstance(ev, Abort)
+        )
+        self.writes = {
+            ev.version: ev for ev in self.events if isinstance(ev, Write)
+        }
+        self.reads = tuple(
+            (i, ev) for i, ev in enumerate(self.events) if isinstance(ev, Read)
+        )
+        self.predicate_reads = tuple(
+            (i, ev)
+            for i, ev in enumerate(self.events)
+            if isinstance(ev, PredicateRead)
+        )
+        self._all_objects = tuple(dict.fromkeys(
+            obj
+            for ev in self.events
+            for obj in (
+                (ev.version.obj,) if isinstance(ev, (Read, Write))
+                else ev.vset.objects() if isinstance(ev, PredicateRead)
+                else ()
+            )
+        ))
+        self._event_positions = {}
+        for i, ev in enumerate(self.events):
+            slot = self._event_positions.setdefault(ev.tid, {})
+            slot.setdefault("first", i)
+            slot["last"] = i
+            if isinstance(ev, Begin):
+                slot["begin"] = i
+            elif isinstance(ev, Commit):
+                slot["commit"] = i
+            elif isinstance(ev, Abort):
+                slot["abort"] = i
+        self.version_order = self._build_order(supplied)
+        by_relation = {}
+        for obj in self._all_objects:
+            by_relation.setdefault(relation_of(obj), []).append(obj)
+        self.objects_by_relation = {
+            rel: tuple(objs) for rel, objs in by_relation.items()
+        }
+        self.setup_versions = frozenset(
+            v
+            for chain in self.version_order.values()
+            for v in chain
+            if not v.is_unborn and v not in self.writes
+        )
+        self.committed_all = (
+            self.committed
+            | frozenset(
+                v.tid
+                for chain in self.version_order.values()
+                for v in chain
+                if not v.is_unborn
+            )
+        ) - self.aborted
+
+    def final_version(self, obj: str, tid: int) -> Optional[Version]:
+        seqs = [v.seq for v in self.writes if v.obj == obj and v.tid == tid]
+        return Version(obj, tid, max(seqs)) if seqs else None
+
+    def _build_order(self, supplied):
+        order: Dict[str, List[Version]] = {}
+        if supplied is not None:
+            for obj, versions in supplied.items():
+                chain: List[Version] = []
+                for v in versions:
+                    if v.is_unborn:
+                        continue  # the unborn version is implicit
+                    if v.obj != obj:
+                        raise VersionOrderError(
+                            f"version order for {obj!r} contains version of {v.obj!r}"
+                        )
+                    chain.append(v)
+                order[obj] = chain
+        # Objects not covered by an explicit order default to the order of
+        # the committed transactions' final write events.
+        for ev in self.events:
+            if isinstance(ev, Write) and ev.tid in self.committed:
+                obj = ev.version.obj
+                if supplied is not None and obj in supplied:
+                    continue
+                v = self.final_version(obj, ev.tid)
+                if v == ev.version:
+                    order.setdefault(obj, []).append(v)
+        # Every object mentioned anywhere gets an order entry so lookups are
+        # uniform, and *setup versions* — versions that are read (directly or
+        # in a version set) but never written by any event, representing the
+        # paper's implicit initial database state (e.g. ``x0`` in
+        # ``H_phantom``, or ``y0`` in ``H_pred-read`` where T0 has events but
+        # no write of ``y``) — are installed right after the unborn version.
+        setup: Dict[str, List[Version]] = {}
+        written = {ev.version for ev in self.events if isinstance(ev, Write)}
+
+        def note(version: Version) -> None:
+            obj = version.obj
+            chain = order.setdefault(obj, [])
+            if (
+                not version.is_unborn
+                and version not in written
+                and version not in chain
+                and version not in setup.get(obj, ())
+            ):
+                setup.setdefault(obj, []).append(version)
+
+        for ev in self.events:
+            if isinstance(ev, (Read, Write)):
+                order.setdefault(ev.version.obj, [])
+                if isinstance(ev, Read):
+                    note(ev.version)
+            elif isinstance(ev, PredicateRead):
+                for v in ev.vset.versions():
+                    note(v)
+        return {
+            obj: (Version.unborn(obj),) + tuple(setup.get(obj, ())) + tuple(chain)
+            for obj, chain in order.items()
+        }
+
+
+def history_and_oracle(params) -> Tuple[History, ObjectPathHistory]:
     h = synthetic_history(**params)
-    legacy = History(
-        h.events, default_level=h.default_level, validate=False, array_core=False
-    )
-    arrayed = History(
-        h.events, default_level=h.default_level, validate=False, array_core=True
-    )
-    return legacy, arrayed
+    history = History(h.events, default_level=h.default_level, validate=False)
+    return history, ObjectPathHistory(h.events)
 
 
 # ----------------------------------------------------------------------
@@ -58,30 +193,58 @@ def both_paths(params):
 # ----------------------------------------------------------------------
 
 
+def assert_indexes_match(history: History, oracle: ObjectPathHistory) -> None:
+    assert history.version_order == oracle.version_order
+    assert history.tids == oracle.tids
+    assert history.committed == oracle.committed
+    assert history.aborted == oracle.aborted
+    assert history.writes == oracle.writes
+    assert history.reads == oracle.reads
+    assert history.predicate_reads == oracle.predicate_reads
+    assert history._all_objects == oracle._all_objects
+    assert history.objects_by_relation == oracle.objects_by_relation
+    assert history._event_positions == oracle._event_positions
+    assert history.setup_versions == oracle.setup_versions
+    assert history.committed_all == oracle.committed_all
+    for (obj, tid) in {(v.obj, v.tid) for v in oracle.writes}:
+        assert history.final_version(obj, tid) == oracle.final_version(obj, tid)
+
+
 @given(history_params)
 @settings(max_examples=60, deadline=None)
 def test_history_indexes_identical(params):
-    legacy, arrayed = both_paths(params)
-    assert arrayed.version_order == legacy.version_order
-    assert arrayed.tids == legacy.tids
-    assert arrayed.committed == legacy.committed
-    assert arrayed.aborted == legacy.aborted
-    assert arrayed.writes == legacy.writes
-    assert arrayed.reads == legacy.reads
-    assert arrayed.predicate_reads == legacy.predicate_reads
-    assert arrayed._all_objects == legacy._all_objects
-    assert arrayed.objects_by_relation == legacy.objects_by_relation
-    assert arrayed._event_positions == legacy._event_positions
-    assert arrayed.setup_versions == legacy.setup_versions
-    assert arrayed.committed_all == legacy.committed_all
+    assert_indexes_match(*history_and_oracle(params))
+
+
+@pytest.mark.parametrize("canonical", ALL_CANONICAL, ids=lambda c: c.name)
+def test_paper_history_indexes_identical(canonical):
+    """The paper's histories cover what the generator never emits: setup
+    versions (``x0`` read but never written, as in ``H_phantom``) and
+    explicit version orders (``H_write-order``)."""
+    parsed = canonical.history
+    events = parsed.events
+    assert_indexes_match(
+        History(events, validate=False), ObjectPathHistory(events)
+    )
+    assert_indexes_match(
+        History(events, parsed.version_order, validate=False),
+        ObjectPathHistory(events, parsed.version_order),
+    )
 
 
 @given(history_params)
 @settings(max_examples=30, deadline=None)
 def test_check_reports_identical(params):
-    legacy, arrayed = both_paths(params)
-    r1 = check(legacy, extensions=True)
-    r2 = check(arrayed, extensions=True)
+    history, oracle = history_and_oracle(params)
+    supplied = History(
+        history.events,
+        oracle.version_order,
+        default_level=history.default_level,
+        validate=False,
+    )
+    assert supplied.version_order == oracle.version_order
+    r1 = check(history, extensions=True)
+    r2 = check(supplied, extensions=True)
     assert {
         (str(item.phenomenon), item.present) for item in r1.phenomena()
     } == {(str(item.phenomenon), item.present) for item in r2.phenomena()}
@@ -130,16 +293,14 @@ def test_batch_add_all_matches_per_event_add(params):
 @given(history_params)
 @settings(max_examples=30, deadline=None)
 def test_incremental_matches_batch_checker(params):
-    """The interned incremental core against the legacy object-path batch
-    checker: identical phenomena and level verdicts."""
+    """The interned incremental core against the batch checker: identical
+    phenomena and level verdicts."""
     h = synthetic_history(**params)
-    legacy = History(
-        h.events, default_level=h.default_level, validate=False, array_core=False
-    )
+    history = History(h.events, default_level=h.default_level, validate=False)
     # order_mode="event" keys installs like the batch path's inferred
     # version order; "commit" is a different (also valid) order and may
     # legitimately disagree on cycle phenomena.
-    report = check(legacy)
+    report = check(history)
     inc = IncrementalAnalysis(order_mode="event").add_all(h.events)
     for item in report.phenomena():
         assert inc.exhibits(item.phenomenon) == item.present, str(item.phenomenon)

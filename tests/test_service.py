@@ -561,17 +561,19 @@ class TestRecoverPlumbing:
 class TestInstrumentation:
     def test_stress_run_emits_service_metrics_and_trace(self):
         from repro.observability import MetricsRegistry, Tracer
-        from repro.service import run_stress
+        from repro.service import StressConfig, run_stress
 
         metrics, tracer = MetricsRegistry(), Tracer()
         result = run_stress(
-            clients=3,
-            txns_per_client=6,
-            seed=7,
-            network=NetworkConfig(
-                drop=0.05, duplicate=0.05, min_delay=1, max_delay=4
+            StressConfig(
+                clients=3,
+                txns_per_client=6,
+                seed=7,
+                network=NetworkConfig(
+                    drop=0.05, duplicate=0.05, min_delay=1, max_delay=4
+                ),
+                crash_after_commits=8,
             ),
-            crash_after_commits=8,
             metrics=metrics,
             tracer=tracer,
         )

@@ -3,6 +3,7 @@ paths, waterfalls, contention summaries, the Chrome trace-event export
 round-trip, and the unified run report."""
 
 import json
+import math
 
 import pytest
 
@@ -21,7 +22,8 @@ from repro.observability.traceview import (
     waterfall,
     write_chrome_trace,
 )
-from repro.service import NetworkConfig, run_stress
+from repro.observability.windows import WindowedValues
+from repro.service import NetworkConfig, StressConfig, StressResult, run_stress
 
 FAULTY = NetworkConfig(drop=0.05, duplicate=0.08, min_delay=1, max_delay=5)
 
@@ -36,10 +38,9 @@ def _traced_run(seed=3, **overrides):
         network=FAULTY,
         crash_after_commits=6,
         restart_delay=30,
-        tracer=Tracer(),
     )
     kwargs.update(overrides)
-    return run_stress(**kwargs)
+    return run_stress(StressConfig(**kwargs), tracer=Tracer())
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +67,29 @@ class TestPercentile:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             percentile([], 50)
+
+    @pytest.mark.parametrize(
+        "q", [-10, 0, 0.5, 1, 33.3, 50, 95, 99, 99.9, 100, 100.5, 250]
+    )
+    def test_every_call_site_is_nearest_rank(self, q):
+        """traceview, the rolling windows and the stress result all
+        answer with the nearest rank, ``q`` clamped to [0, 100]."""
+        values = [5, 1, 4, 1, 3, 9, 2, 6, 5, 3, 7]
+        ordered = sorted(values)
+        rank = min(max(math.ceil(len(ordered) * q / 100), 1), len(ordered))
+        expected = ordered[rank - 1]
+        window = WindowedValues(window=100)
+        for v in values:
+            window.observe(0, v)
+        result = StressResult(
+            history_text="", journals={}, certification={}, committed=0,
+            client_aborts=0, network_counters={}, server_counters={},
+            client_stats={}, crashes=0, restarts=0, deadlock_victims=0,
+            ticks=0, commit_latencies=tuple(values),
+        )
+        assert percentile(values, q) == expected
+        assert window.percentile(q, 0) == expected
+        assert result.latency_percentile(q) == expected
 
 
 class TestVerbLatencies:
